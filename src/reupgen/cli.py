@@ -32,7 +32,9 @@ the sweep summary is ``P,wasserstein,success_probability``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -203,7 +205,7 @@ def cmd_gen_data(conf: dict, out_dir: str | None) -> int:
 
 
 def _task_aux_fn(conf: dict):
-    from .metrics import distribution_distance_1d, magnetization, mean_squared_pauli
+    from .metrics import mean_squared_pauli
 
     task = conf["task"]
     if task in ("ring_y", "sweep_p"):
@@ -212,9 +214,7 @@ def _task_aux_fn(conf: dict):
         return lambda parts: 0.5 * (
             mean_squared_pauli(parts[0], "Y").value + mean_squared_pauli(parts[1], "Z").value
         )
-    if task == "tfim":
-        return None  # set up against the train set inside cmd_train
-    return None
+    return None  # tfim sets its aux metric up against the train set in cmd_train
 
 
 def cmd_train(conf: dict, out_dir: str | None) -> int:
@@ -369,27 +369,20 @@ def cmd_sweep_p(conf: dict, out_dir: str | None) -> int:
         raise ValueError("p_list must be nonempty")
     seeds = conf["sweep_seeds"]
     aux_fn = _task_aux_fn(conf)
+    base = _train_config(conf)
 
     rows = []
     for reps in p_list:
+        generator = _generator_config(conf, reps=reps)
         values = []
         for seed in seeds:
-            generator = _generator_config(conf, reps=reps)
-            base = _train_config(conf)
-            tconf = training.TrainConfig(
-                epochs=base.epochs,
-                lr=base.lr,
-                seed=seed,
-                batch_generated=base.batch_generated,
-                sinkhorn=base.sinkhorn,
-                noise=base.noise,
-            )
+            tconf = dataclasses.replace(base, seed=seed)
             theta, _ = training.train_ensemble(generator, train_set, tconf, aux_fn=aux_fn)
             noises = datasets.sample_noise(
                 _noise_spec(conf, seed=seed + 10_000), test_set.shape[0]
             )
             generated = generate_ensemble(generator, theta, noises)
-            values.append(evaluate_generation(generated, test_set, _sinkhorn_config(conf)).value)
+            values.append(evaluate_generation(generated, test_set, base.sinkhorn).value)
         rows.append((reps, float(np.mean(values)), 1.0))
         print(f"P={reps}: W={rows[-1][1]:.5f} over {len(seeds)} seeds (success probability 1.0)")
 
@@ -479,7 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reupgen",
         description="Train and evaluate the noise-reuploading quantum state generator.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="BLAS thread cap (default 1)")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="BLAS thread cap (default 1); needs the optional threadpoolctl package, "
+        "without it the flag is ignored with a warning",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config_required=True):
@@ -516,15 +515,24 @@ def main(argv=None) -> int:
 
     try:
         from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover
+    except ImportError:
         threadpool_limits = None
+        if args.threads is not None:
+            print(
+                "warning: --threads ignored: threadpoolctl is not installed, "
+                "so the BLAS thread count cannot be capped",
+                file=sys.stderr,
+            )
+
+    def thread_cap():
+        if threadpool_limits is None:
+            return contextlib.nullcontext()
+        return threadpool_limits(limits=1 if args.threads is None else args.threads)
 
     try:
         if args.command == "gradcheck":
-            if threadpool_limits is not None:
-                with threadpool_limits(limits=args.threads):
-                    return cmd_gradcheck(args.tolerance, args.test_hook_flip_gradient_sign)
-            return cmd_gradcheck(args.tolerance, args.test_hook_flip_gradient_sign)
+            with thread_cap():
+                return cmd_gradcheck(args.tolerance, args.test_hook_flip_gradient_sign)
 
         conf = load_config(args.config)
         if args.seed is not None:
@@ -543,10 +551,8 @@ def main(argv=None) -> int:
                 return cmd_sweep_p(conf, args.out)
             raise ValueError(f"unknown command {args.command!r}")
 
-        if threadpool_limits is not None:
-            with threadpool_limits(limits=args.threads):
-                return run()
-        return run()
+        with thread_cap():
+            return run()
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

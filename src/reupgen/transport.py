@@ -1,10 +1,13 @@
 """Entropic optimal transport between pure-state ensembles.
 
 The cost of pairing two states is the infidelity 1 - |<a|b>|, so cost
-matrices live in [0, 1].  The coupling is solved with log-domain Sinkhorn
-iterations (naive scaling overflows at small regularization), and the
-reported value is the unregularized objective <plan, cost> evaluated at
-the entropic plan.  Marginals are uniform histograms over the samples.
+matrices live in [0, 1].  The coupling is solved with log-stabilized
+scaling Sinkhorn iterations: matrix-vector scaling updates on a kernel
+that absorbs the current dual potentials, folded back into the potentials
+with a log-domain step whenever the scalings leave a safe range, so small
+regularizations neither overflow nor lose mass.  The reported value is
+the unregularized objective <plan, cost> evaluated at the entropic plan.
+Marginals are uniform histograms over the samples.
 """
 
 from __future__ import annotations
@@ -67,6 +70,13 @@ def cost_matrix(
     return np.clip(1.0 - absolute, 0.0, 1.0)
 
 
+# Scalings outside [1/bound, bound] are folded into the potentials.  A
+# kernel entry that underflowed to zero could have grown by at most
+# bound**2 = 1e100 (from u and v together) before the next fold, to about
+# 1e-308 * 1e100 = 1e-208, so the mass lost to underflow never matters.
+_SCALING_BOUND = 1e50
+
+
 def _lse_rows(mat: np.ndarray) -> np.ndarray:
     peak = mat.max(axis=1)
     return peak + np.log(np.exp(mat - peak[:, None]).sum(axis=1))
@@ -77,13 +87,33 @@ def _lse_cols(mat: np.ndarray) -> np.ndarray:
     return peak + np.log(np.exp(mat - peak[None, :]).sum(axis=0))
 
 
-def sinkhorn(cost: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig) -> TransportPlan:
-    """Log-domain Sinkhorn solve of entropic OT with marginals (a, b).
+def _log_domain_step(
+    cost: np.ndarray, g: np.ndarray, log_a: np.ndarray, log_b: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Sinkhorn iteration on the dual potentials; finite at any eps."""
+    f = eps * (log_a - _lse_rows((g[None, :] - cost) / eps))
+    g = eps * (log_b - _lse_cols((f[:, None] - cost) / eps))
+    return f, g
 
-    Alternates dual-potential updates until both marginal L1 errors fall
-    below ``marginal_tolerance`` or the iteration budget runs out; the
-    plan is returned either way with its convergence flag.  Convergence is
-    checked every few iterations to keep the inner loop lean.
+
+def sinkhorn(cost: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig) -> TransportPlan:
+    """Log-stabilized scaling Sinkhorn solve of entropic OT with marginals (a, b).
+
+    The plan is kept as diag(u) K diag(v) with K = exp((f + g - cost) / eps)
+    for dual potentials f, g in cost units.  Each iteration is the matrix
+    scaling update u = a / (K v), v = b / (K^T u): two matrix-vector
+    products.  The first iteration, and any iteration whose scalings would
+    leave [1/_SCALING_BOUND, _SCALING_BOUND] or turn non-finite, is instead
+    taken as a log-domain step on the potentials (with the last in-range v
+    folded into g), after which K is rebuilt and u = v = 1.  Both kinds of
+    step are the same Sinkhorn update, so the iterates are those of a pure
+    log-domain solve up to rounding.
+
+    Iterations run until both marginal L1 errors fall below
+    ``marginal_tolerance`` or the budget runs out; the plan is returned
+    either way with its convergence flag.  The errors are read from the
+    products already at hand (row sums u * K v, column sums v * K^T u) every
+    few iterations and at the last one.
     """
     cost = np.asarray(cost, dtype=float)
     if not np.all(np.isfinite(cost)):
@@ -99,25 +129,47 @@ def sinkhorn(cost: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornCon
     eps = config.epsilon
     log_a = np.log(a)
     log_b = np.log(b)
-    # dual potentials in cost units: plan = exp((f + g - cost) / eps)
-    f = np.zeros(m)
+    lo, hi = 1.0 / _SCALING_BOUND, _SCALING_BOUND
     g = np.zeros(n)
+    v = np.ones(n)
+    kernel = None
+    stable = False  # the opening iteration is a log-domain step
 
     check_every = 5
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        f = eps * (log_a - _lse_rows((g[None, :] - cost) / eps))
-        g = eps * (log_b - _lse_cols((f[:, None] - cost) / eps))
-        if iterations % check_every == 0 or iterations == config.max_iterations:
-            plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
-            row_err = np.abs(plan.sum(axis=1) - a).sum()
-            col_err = np.abs(plan.sum(axis=0) - b).sum()
-            if row_err < config.marginal_tolerance and col_err < config.marginal_tolerance:
-                converged = True
-                break
-    plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
-    return TransportPlan(plan=plan, converged=converged, iterations=iterations)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for iterations in range(1, config.max_iterations + 1):
+            if kernel is not None:
+                u_next = a / kv
+                kt_u = kernel.T @ u_next
+                v_next = b / kt_u
+                stable = (
+                    lo <= u_next.min() and u_next.max() <= hi
+                    and lo <= v_next.min() and v_next.max() <= hi
+                )
+            if not stable:
+                kernel = None  # freed before the log-domain step's temporaries
+                f, g = _log_domain_step(cost, g + eps * np.log(v), log_a, log_b, eps)
+                kernel = f[:, None] + g[None, :]  # one m x n buffer, updated in place
+                kernel -= cost
+                kernel /= eps
+                np.exp(kernel, out=kernel)
+                u = np.ones(m)
+                v = np.ones(n)
+                kt_u = kernel.sum(axis=0)
+            else:
+                u, v = u_next, v_next
+            kv = kernel @ v
+            if iterations % check_every == 0 or iterations == config.max_iterations:
+                row_err = np.abs(u * kv - a).sum()
+                col_err = np.abs(v * kt_u - b).sum()
+                if row_err < config.marginal_tolerance and col_err < config.marginal_tolerance:
+                    converged = True
+                    break
+    kernel *= u[:, None]
+    kernel *= v[None, :]
+    return TransportPlan(plan=kernel, converged=converged, iterations=iterations)
 
 
 def transport_value(cost: np.ndarray, plan: TransportPlan | np.ndarray) -> float:

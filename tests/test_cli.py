@@ -2,11 +2,12 @@
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from reupgen.cli import main
+from reupgen.cli import build_parser, main
 from reupgen.datasets import load_ensemble, load_theta
 
 
@@ -264,6 +265,26 @@ def test_unwritable_output_exit_4(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert main(["gen-data", "--config", str(config), "--out", str(blocker / "sub")]) == 4
+
+
+class TestThreads:
+    def test_flag_without_threadpoolctl_warns(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
+        config = write_config(tmp_path / "config.json")
+        runs = {}
+        for sub, flags in (("plain", []), ("capped", ["--threads", "2"])):
+            assert main([*flags, "gen-data", "--config", str(config), "--out", str(tmp_path / sub)]) == 0
+            runs[sub] = capsys.readouterr()
+        assert runs["plain"].err == ""
+        warning = runs["capped"].err.splitlines()
+        assert len(warning) == 1
+        assert "--threads ignored" in warning[0] and "threadpoolctl" in warning[0]
+        assert runs["capped"].out == runs["plain"].out
+        for name in ("train.json", "test.json"):
+            assert (tmp_path / "capped" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_help_names_the_dependency(self):
+        assert "threadpoolctl" in build_parser().format_help()
 
 
 class TestGradcheck:

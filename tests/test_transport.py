@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from reupgen import statevec as sv
+from reupgen import transport
 from reupgen.datasets import ring_y_ensemble
 from reupgen.transport import (
     SinkhornConfig,
+    TransportPlan,
     cost_matrix,
     exact_assignment,
     regularized_value,
@@ -111,6 +113,100 @@ class TestSinkhorn:
         plan = sinkhorn(cost, *uniform_marginals(8, 8), SinkhornConfig(epsilon=1e-4, max_iterations=3))
         assert not plan.converged
         assert plan.iterations == 3
+
+
+def _log_domain_sinkhorn(cost, a, b, config):
+    """Plain log-domain Sinkhorn: the loop the stabilized solver must track."""
+
+    def lse_rows(mat):
+        peak = mat.max(axis=1)
+        return peak + np.log(np.exp(mat - peak[:, None]).sum(axis=1))
+
+    def lse_cols(mat):
+        peak = mat.max(axis=0)
+        return peak + np.log(np.exp(mat - peak[None, :]).sum(axis=0))
+
+    eps = config.epsilon
+    log_a, log_b = np.log(a), np.log(b)
+    f = np.zeros(cost.shape[0])
+    g = np.zeros(cost.shape[1])
+    converged = False
+    for iterations in range(1, config.max_iterations + 1):
+        f = eps * (log_a - lse_rows((g[None, :] - cost) / eps))
+        g = eps * (log_b - lse_cols((f[:, None] - cost) / eps))
+        if iterations % 5 == 0 or iterations == config.max_iterations:
+            plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
+            row_err = np.abs(plan.sum(axis=1) - a).sum()
+            col_err = np.abs(plan.sum(axis=0) - b).sum()
+            if row_err < config.marginal_tolerance and col_err < config.marginal_tolerance:
+                converged = True
+                break
+    plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
+    return TransportPlan(plan=plan, converged=converged, iterations=iterations)
+
+
+def _solve_counting_log_steps(monkeypatch, cost, config):
+    """Stabilized solve plus the number of log-domain steps it took."""
+    calls = []
+    original = transport._log_domain_step
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transport, "_log_domain_step", spy)
+        plan = sinkhorn(cost, *uniform_marginals(*cost.shape), config)
+    return plan, len(calls)
+
+
+EPSILONS = [1e-5, 1e-4, 1e-3, 0.01, 0.05, 1.0, 100.0]
+SHAPES = [(1, 1), (3, 5), (12, 9), (100, 100)]
+
+
+class TestStabilizedScaling:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_matches_log_domain_loop(self, monkeypatch, epsilon, shape):
+        cost = np.random.default_rng(list(shape)).uniform(size=shape)
+        config = SinkhornConfig(epsilon=epsilon)
+        plan, log_steps = _solve_counting_log_steps(monkeypatch, cost, config)
+        expected = _log_domain_sinkhorn(cost, *uniform_marginals(*shape), config)
+        assert log_steps >= 1  # the solve always opens with a log-domain step
+        assert plan.iterations == expected.iterations
+        assert plan.converged == expected.converged
+        assert np.all(np.isfinite(plan.plan))
+        # the reference's exponents (f + g - C) / eps carry a rounding error
+        # of about 1e-16 / eps, which bounds how closely it can be matched
+        np.testing.assert_allclose(plan.plan, expected.plan, rtol=0, atol=max(1e-12, 1e-16 / epsilon))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+    def test_tighter_than_log_domain_at_tiny_epsilon(self):
+        cost = np.random.default_rng([3, 5]).uniform(size=(3, 5))
+        a, b = uniform_marginals(3, 5)
+        config = SinkhornConfig(epsilon=1e-5)
+        exact = _log_domain_sinkhorn(
+            cost.astype(np.longdouble), a.astype(np.longdouble), b.astype(np.longdouble), config
+        )
+        plan = sinkhorn(cost, a, b, config)
+        assert plan.iterations == exact.iterations
+        np.testing.assert_allclose(plan.plan, exact.plan.astype(float), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("epsilon", [1e-5, 1e-4, 1e-3])
+    def test_small_epsilon_folds_into_potentials(self, monkeypatch, epsilon):
+        # a 1x1 plan is exact after the opening step, so only the larger
+        # shapes can drive the scalings out of range
+        folds = 0
+        for shape in SHAPES[1:]:
+            cost = np.random.default_rng(list(shape)).uniform(size=shape)
+            _, log_steps = _solve_counting_log_steps(monkeypatch, cost, SinkhornConfig(epsilon=epsilon))
+            folds += log_steps - 1
+        assert folds >= 1
+
+    def test_no_fold_at_moderate_epsilon(self, monkeypatch):
+        cost = np.random.default_rng([100, 100]).uniform(size=(100, 100))
+        _, log_steps = _solve_counting_log_steps(monkeypatch, cost, SinkhornConfig(epsilon=0.05))
+        assert log_steps == 1
 
 
 class TestTransportValue:
