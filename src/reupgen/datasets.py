@@ -13,12 +13,16 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.linalg import eigsh
 
 from .generator import GeneratorConfig
+
+if TYPE_CHECKING:
+    # scipy.sparse is imported inside the TFIM helpers, which are its only
+    # users, so ``import reupgen`` does not pay for it
+    import scipy.sparse as sparse
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,8 @@ class TfimConfig:
 
 
 def _site_operator(op: np.ndarray, site: int, n: int) -> sparse.csr_matrix:
+    import scipy.sparse as sparse
+
     return sparse.kron(
         sparse.identity(2 ** (n - 1 - site), format="csr"),
         sparse.kron(sparse.csr_matrix(op), sparse.identity(2**site, format="csr")),
@@ -149,6 +155,8 @@ def _site_operator(op: np.ndarray, site: int, n: int) -> sparse.csr_matrix:
 @lru_cache(maxsize=None)
 def _tfim_terms(n_sites: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """(sum of Z_n Z_{n+1} over the open chain, sum of X_n)."""
+    import scipy.sparse as sparse
+
     pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
     pauli_z = np.array([[1.0, 0.0], [0.0, -1.0]])
     zz = sparse.csr_matrix((2**n_sites, 2**n_sites))
@@ -175,6 +183,8 @@ def _ground_state(hamiltonian: sparse.csr_matrix) -> tuple[float, np.ndarray, fl
         vals, vecs = np.linalg.eigh(hamiltonian.toarray())
         energy, vec, gap = vals[0], vecs[:, 0], vals[1] - vals[0]
     else:
+        from scipy.sparse.linalg import eigsh
+
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
         vals, vecs = eigsh(hamiltonian, k=2, which="SA", v0=v0, maxiter=5000)
         order = np.argsort(vals)

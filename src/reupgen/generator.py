@@ -11,7 +11,9 @@ Trainable angles form a real array of shape (reps, n_qubits, 3).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,15 +73,53 @@ def encoding_gates(noises: np.ndarray) -> np.ndarray:
     return euler_gate(x, x, x)
 
 
-def apply_gate_columns(cols: np.ndarray, gate: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 2x2 gate on ``qubit`` to states stored as columns.
+@lru_cache(maxsize=None)
+def machine_memory_bytes() -> int | None:
+    """Physical memory, capped by the cgroup v2 ``memory.max`` when readable.
 
-    ``cols`` has shape (2**n, batch): one state per column, so the
-    batch axis is the fast axis and every slice below stays contiguous
-    regardless of the qubit index.  ``gate`` is (2, 2) or (batch, 2, 2).
+    None when the platform reports neither.  Read once per process.
     """
-    shape = cols.shape
-    view = cols.reshape(2 ** (n - 1 - qubit), 2, 2**qubit, -1)
+    try:
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        total = None
+    try:
+        with open("/sys/fs/cgroup/memory.max") as fh:
+            limit = fh.read().strip()
+    except OSError:
+        limit = ""
+    if limit.isdigit():
+        total = int(limit) if total is None else min(total, int(limit))
+    return total
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise MemoryError up front if ``what`` needs more than the machine has."""
+    available = machine_memory_bytes()
+    if available is not None and nbytes > available:
+        raise MemoryError(
+            f"{what} needs {nbytes} bytes of buffers, more than the "
+            f"{available} bytes of memory of this machine"
+        )
+
+
+def apply_gate_columns(
+    cols: np.ndarray, gate: np.ndarray, qubit: int, n: int, scratch: np.ndarray
+) -> np.ndarray:
+    """Apply a 2x2 gate on ``qubit``, in place, to states stored as columns.
+
+    ``cols`` is a C-contiguous complex array of shape (..., 2**n, batch):
+    one state per column, so the batch axis is the fast axis and every
+    slice below stays contiguous regardless of the qubit index.  Leading
+    axes stack state arrays that take the same gates (the adjoint sweep
+    keeps its state and costate in one (2, 2**n, batch) buffer).
+    ``gate`` is (2, 2) or (batch, 2, 2).  ``scratch`` is a 1-D complex
+    buffer of at least ``cols.size`` elements that callers allocate once
+    per pass.  Returns ``cols``.
+    """
+    if not cols.flags.c_contiguous:
+        raise ValueError("cols must be C-contiguous to be updated in place")
+    view = cols.reshape(-1, 2, 2**qubit, cols.shape[-1])
     if gate.ndim > 2:
         # one matrix per state: entries broadcast along the column axis
         m00, m01, m10, m11 = gate[:, 0, 0], gate[:, 0, 1], gate[:, 1, 0], gate[:, 1, 1]
@@ -87,12 +127,16 @@ def apply_gate_columns(cols: np.ndarray, gate: np.ndarray, qubit: int, n: int) -
         m00, m01, m10, m11 = gate[0, 0], gate[0, 1], gate[1, 0], gate[1, 1]
     v0 = view[:, 0]
     v1 = view[:, 1]
-    out = np.empty_like(view)
-    np.multiply(m00, v0, out=out[:, 0])
-    out[:, 0] += m01 * v1
-    np.multiply(m10, v0, out=out[:, 1])
-    out[:, 1] += m11 * v1
-    return out.reshape(shape)
+    half = cols.size // 2
+    t0 = scratch[:half].reshape(v0.shape)
+    t1 = scratch[half : 2 * half].reshape(v0.shape)
+    np.multiply(m01, v1, out=t0)
+    np.multiply(m10, v0, out=t1)
+    np.multiply(m00, v0, out=v0)
+    v0 += t0
+    np.multiply(m11, v1, out=v1)
+    v1 += t1
+    return cols
 
 
 def forward_columns(config: GeneratorConfig, theta: np.ndarray, noises: np.ndarray) -> np.ndarray:
@@ -100,7 +144,9 @@ def forward_columns(config: GeneratorConfig, theta: np.ndarray, noises: np.ndarr
 
     The per-repetition, per-qubit gate is the 2x2 product
     R(theta[p, q]) @ R(x, x, x), applied qubit by qubit, then the
-    entangler layer closes the repetition.
+    entangler layer closes the repetition.  The state array and one
+    scratch array of the same size are the only buffers; a batch whose
+    buffers exceed the machine's memory raises MemoryError up front.
     """
     theta = check_theta(config, theta)
     x = np.atleast_1d(np.asarray(noises, dtype=float))
@@ -109,6 +155,7 @@ def forward_columns(config: GeneratorConfig, theta: np.ndarray, noises: np.ndarr
     if not np.all(np.isfinite(x)):
         raise ValueError("noise values must be finite")
     n = config.n_qubits
+    require_memory(2 * 2**n * x.size * 16, f"the forward pass of {x.size} states on {n} qubits")
 
     enc = encoding_gates(x)                      # (batch, 2, 2)
     train = euler_gate(theta[..., 0], theta[..., 1], theta[..., 2])  # (reps, n, 2, 2)
@@ -116,11 +163,12 @@ def forward_columns(config: GeneratorConfig, theta: np.ndarray, noises: np.ndarr
 
     cols = np.zeros((2**n, x.size), dtype=complex)
     cols[0, :] = 1.0
+    scratch = np.empty(cols.size, dtype=complex)
     for p in range(config.reps):
         for q in range(n):
-            cols = apply_gate_columns(cols, train[p, q] @ enc, q, n)
+            apply_gate_columns(cols, train[p, q] @ enc, q, n, scratch)
         if diag is not None:
-            cols = cols * diag
+            cols *= diag
     return cols
 
 

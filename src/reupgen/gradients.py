@@ -1,13 +1,15 @@
 """Analytic gradients of the training losses with respect to the angles.
 
 Everything is built on one reverse (adjoint) sweep: after a forward pass,
-the circuit is walked backwards gate by gate, undoing each unitary on the
-state while transporting a costate bra, and inserting the generator of
-each trainable rotation (-i Z/2 or -i Y/2) at its site to read off
-d<bra|state>/d(angle).  Encoding gates carry no trainable parameters and
-are just undone.  One sweep yields the derivative with respect to every
-angle at the cost of a few forward passes, for any batch of noise values
-with per-sample bra vectors.
+the circuit is walked backwards one repetition at a time, undoing each
+unitary on the state while transporting a costate bra, and inserting the
+generator of each trainable rotation (-i Z/2 or -i Y/2) at its site to
+read off d<bra|state>/d(angle).  Encoding gates carry no trainable
+parameters and are just undone.  Both training losses only need the
+derivative summed over the noise batch, so the sweep returns that sum:
+one sweep yields the derivative with respect to every angle at the cost
+of about two forward passes, for any batch of noise values with
+per-sample bra vectors.
 
 The ensemble loss holds the Sinkhorn plan fixed while differentiating
 <plan, cost(theta)>; this is the exact gradient of the converged entropic
@@ -29,6 +31,7 @@ from .generator import (
     encoding_gates,
     forward_columns,
     forward_states,
+    require_memory,
 )
 from .statevec import (
     density_eigenvalues,
@@ -41,18 +44,6 @@ from .statevec import (
 _LN2 = float(np.log(2.0))
 
 
-def _block_overlaps(lam_cols: np.ndarray, psi_cols: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """s[i, j, b] = <lam_b restricted to qubit value i | psi_b at value j>.
-
-    Contracting s with any 2x2 matrix G gives <lam_b|G on qubit|psi_b>, so
-    one pass over the state pair serves every generator insertion at this
-    gate site.
-    """
-    lam = lam_cols.reshape(2 ** (n - 1 - qubit), 2, 2**qubit, -1)
-    psi = psi_cols.reshape(2 ** (n - 1 - qubit), 2, 2**qubit, -1)
-    return np.einsum("hilb,hjlb->ijb", lam.conj(), psi)
-
-
 def adjoint_sweep(
     config: GeneratorConfig,
     theta: np.ndarray,
@@ -60,22 +51,29 @@ def adjoint_sweep(
     bras: np.ndarray,
     final_states: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Overlaps <bra_b|psi(theta, x_b)> and their complex angle derivatives.
+    """Overlaps <bra_b|psi(theta, x_b)> and their batch-summed angle derivatives.
 
     ``bras`` holds one (not necessarily normalized) vector per noise value,
-    shape (batch, 2**n).  Returns (overlaps (batch,), grads
-    (batch, reps, n_qubits, 3) complex).
+    shape (batch, 2**n); it and ``final_states`` are left unmodified.
+    Returns (overlaps (batch,), grad (reps, n_qubits, 3) complex), where
+    grad[p, q, k] = sum_b d<bra_b|psi(theta, x_b)>/d theta[p, q, k].
 
-    The backward pass walks the circuit once, undoing each combined
-    encoding+trainable gate on both the state and the costate.  At each
-    trainable gate U = Rz(c) Ry(b) Rz(a) the three angle derivatives are
-    read off as <costate|G_k|state> with the gate-local generators
+    The state psi and the costate lam = bra live in one stacked
+    (2, 2**n, batch) buffer, so each undo gate (the combined
+    encoding+trainable gate of one site, conjugate-transposed) is a single
+    in-place kernel call on both.  At the trainable gate U = Rz(c) Ry(b)
+    Rz(a) of site (p, q) the three angle derivatives are
+    sum_b <lam_b|G_k|psi_b> with the gate-local generators
 
         G_a = U (-i Z / 2) U^dag,  G_b = Rz(c) (-i Y / 2) Rz(c)^dag,
         G_c = -i Z / 2,
 
-    all contracted against one shared block-overlap tensor, so the extra
-    cost per gate is a single pass over the batch.
+    which do not depend on b.  So each site needs only the 2x2 block
+    S_q[i, j] = sum_b <lam_b restricted to qubit value i | psi_b at value j>.
+    Undoing a gate on another qubit q' applies the same unitary to both
+    sides of S_q and leaves it unchanged, so all n blocks of a repetition
+    are read at once, right after its entangler layer is undone, and one
+    contraction gives all 3 n derivatives of that repetition.
     """
     theta = check_theta(config, theta)
     x = np.atleast_1d(np.asarray(noises, dtype=float))
@@ -86,36 +84,48 @@ def adjoint_sweep(
         raise ValueError(f"bras shape {bras.shape} != {(batch, 2 ** n)}")
 
     if final_states is not None:
-        psi = np.ascontiguousarray(np.asarray(final_states, dtype=complex).T)
+        psi0 = np.asarray(final_states, dtype=complex).T
     else:
-        psi = forward_columns(config, theta, x)
-    lam = np.ascontiguousarray(bras.T)
-    overlaps = np.einsum("db,db->b", lam.conj(), psi)
+        psi0 = forward_columns(config, theta, x)
+    require_memory(4 * 2**n * batch * 16, f"the adjoint sweep of {batch} states on {n} qubits")
+    pair = np.empty((2, 2**n, batch), dtype=complex)
+    scratch = np.empty(pair.size, dtype=complex)
+    psi, lam = pair
+    psi[...] = psi0
+    lam[...] = bras.T
+    lam_conj = scratch[: lam.size].reshape(lam.shape)
+    np.conjugate(lam, out=lam_conj)
+    overlaps = np.einsum("db,db->b", lam_conj, psi)
 
     enc = encoding_gates(x)                                      # (batch, 2, 2)
     train = euler_gate(theta[..., 0], theta[..., 1], theta[..., 2])  # (reps, n, 2, 2)
     undo = (train[:, :, None, :, :] @ enc).conj().swapaxes(-1, -2)   # (reps, n, batch, 2, 2)
 
     half_z = np.array([[-0.5j, 0.0], [0.0, 0.5j]])
-    gen_a = train @ half_z @ train.conj().swapaxes(-1, -2)       # (reps, n, 2, 2)
-    rz_c = euler_gate(theta[..., 2], 0.0, 0.0)
     half_y = np.array([[0.0, -0.5], [0.5, 0.0]])
-    gen_b = rz_c @ half_y @ rz_c.conj().swapaxes(-1, -2)
+    rz_c = euler_gate(theta[..., 2], 0.0, 0.0)
+    gens = np.empty(config.theta_shape + (2, 2), dtype=complex)   # (reps, n, 3, 2, 2)
+    gens[:, :, 0] = train @ half_z @ train.conj().swapaxes(-1, -2)
+    gens[:, :, 1] = rz_c @ half_y @ rz_c.conj().swapaxes(-1, -2)
+    gens[:, :, 2] = half_z
 
     diag = entangler_diagonal(n)[:, None] if config.use_entangler else None
-    grads = np.empty((batch, config.reps, n, 3), dtype=complex)
+    blocks = np.empty((n, 2, 2), dtype=complex)
+    grad = np.empty(config.theta_shape, dtype=complex)
     for p in reversed(range(config.reps)):
         if diag is not None:
-            psi = psi * diag
-            lam = lam * diag
-        for q in reversed(range(n)):
-            blocks = _block_overlaps(lam, psi, q, n)
-            grads[:, p, q, 0] = np.einsum("ij,ijb->b", gen_a[p, q], blocks)
-            grads[:, p, q, 1] = np.einsum("ij,ijb->b", gen_b[p, q], blocks)
-            grads[:, p, q, 2] = -0.5j * blocks[0, 0] + 0.5j * blocks[1, 1]
-            psi = apply_gate_columns(psi, undo[p, q], q, n)
-            lam = apply_gate_columns(lam, undo[p, q], q, n)
-    return overlaps, grads
+            pair *= diag
+        np.conjugate(lam, out=lam_conj)
+        for q in range(n):
+            high = 2 ** (n - 1 - q)
+            lam_q = lam_conj.reshape(high, 2, -1)
+            psi_q = psi.reshape(high, 2, -1)
+            blocks[q] = (lam_q @ psi_q.swapaxes(1, 2)).sum(axis=0)
+        grad[p] = np.einsum("qkij,qij->qk", gens[p], blocks)
+        if p > 0:  # nothing is read after the first repetition
+            for q in reversed(range(n)):
+                apply_gate_columns(pair, undo[p, q], q, n, scratch)
+    return overlaps, grad
 
 
 def overlap_gradient(
@@ -123,8 +133,8 @@ def overlap_gradient(
 ) -> tuple[complex, np.ndarray]:
     """<target|psi(theta, x)> and its complex derivative per angle."""
     target = np.asarray(target, dtype=complex)
-    ov, grads = adjoint_sweep(config, theta, np.array([float(noise)]), target[None, :])
-    return complex(ov[0]), grads[0]
+    ov, grad = adjoint_sweep(config, theta, np.array([float(noise)]), target[None, :])
+    return complex(ov[0]), grad
 
 
 def ensemble_loss_gradient(
@@ -160,8 +170,7 @@ def ensemble_loss_gradient(
     safe = absolute >= 1e-12
     weights = np.where(safe, plan * ov / np.where(safe, absolute, 1.0), 0.0)
     bras = weights @ targets                # per-sample costate vectors
-    _, grads = adjoint_sweep(config, theta, x, bras, final_states=states)
-    grad = -np.sum(grads, axis=0).real
+    grad = -adjoint_sweep(config, theta, x, bras, final_states=states)[1].real
     if return_states:
         return loss, grad, states
     return loss, grad
@@ -231,8 +240,7 @@ def entropy_loss_gradient(
 
     # dLoss/dtheta = mean_b 2 r_b dS_b/dtheta, dS/dtheta = 2 Re <costate|dpsi>
     bras = (4.0 / x.size) * residual[:, None] * costate
-    _, grads = adjoint_sweep(config, theta, x, bras, final_states=states)
-    grad = np.sum(grads, axis=0).real
+    grad = adjoint_sweep(config, theta, x, bras, final_states=states)[1].real
     if return_entropies:
         return loss, grad, entropy
     return loss, grad

@@ -60,13 +60,17 @@ def evaluate_generation(
 
 
 def magnetization(ensemble: np.ndarray) -> MetricReport:
-    """Per-state transverse magnetization mean_n <X_n>, plus its ensemble mean."""
+    """Per-state transverse magnetization mean_n <X_n>, plus its ensemble mean.
+
+    X_q only swaps the amplitude pairs that differ in bit q, so
+    <X_q> = 2 Re sum conj(psi[bit q = 0]) psi[bit q = 1].
+    """
     ensemble = np.asarray(ensemble, dtype=complex)
     n = statevec.n_qubits_of(ensemble)
     per_site = np.zeros(ensemble.shape[0])
     for site in range(n):
-        pauli = "".join("X" if q == site else "I" for q in range(n))
-        per_site = per_site + statevec.pauli_expectation(ensemble, pauli)
+        pairs = ensemble.reshape(-1, 2 ** (n - 1 - site), 2, 2**site)
+        per_site += 2.0 * np.einsum("khl,khl->k", pairs[:, :, 0].conj(), pairs[:, :, 1]).real
     values = per_site / n
     return MetricReport(
         name="magnetization",

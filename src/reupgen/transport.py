@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import statevec
 
@@ -208,6 +207,8 @@ def exact_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError(f"exact assignment needs a square matrix, got {cost.shape}")
     if m > 256:
         raise ValueError("exact assignment limited to 256x256")
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     sigma = np.empty(n, dtype=int)
     sigma[rows] = cols

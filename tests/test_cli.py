@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import reupgen
 from reupgen.cli import build_parser, main
 from reupgen.datasets import load_ensemble, load_theta
 
@@ -265,6 +268,18 @@ def test_unwritable_output_exit_4(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert main(["gen-data", "--config", str(config), "--out", str(blocker / "sub")]) == 4
+
+
+def test_import_leaves_scipy_sparse_and_optimize_unloaded():
+    # scipy.sparse serves only the TFIM factory and scipy.optimize only the
+    # exact-assignment oracle, so neither belongs in every CLI start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reupgen.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, reupgen; print(sorted(m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestThreads:

@@ -10,15 +10,28 @@ values, not to amplitudes.)
 import numpy as np
 import pytest
 
-from reupgen.generator import GeneratorConfig, forward_states, generate_state, random_theta
+from reupgen import generator
+from reupgen.generator import (
+    GeneratorConfig,
+    apply_gate_columns,
+    encoding_gates,
+    forward_columns,
+    forward_states,
+    generate_state,
+    random_theta,
+)
 from reupgen.gradients import (
+    adjoint_sweep,
     ensemble_loss_gradient,
     entanglement_entropies,
     entropy_loss_gradient,
     finite_difference_check,
     overlap_gradient,
 )
+from reupgen.statevec import entangler_diagonal, euler_gate
 from reupgen.transport import SinkhornConfig, regularized_value, sinkhorn, uniform_marginals
+
+from test_statevec import dense_1q_operator
 
 
 def random_target(rng, n):
@@ -53,6 +66,169 @@ def fd_gradient(fn, theta, h):
         down[idx] -= h
         grad[idx] = (fn(up) - fn(down)) / (2.0 * h)
     return grad
+
+
+def _reference_apply_gate_columns(cols, gate, qubit, n):
+    """Out-of-place column kernel: returns a new array, ``cols`` untouched."""
+    view = cols.reshape(2 ** (n - 1 - qubit), 2, 2**qubit, -1)
+    if gate.ndim > 2:
+        m00, m01, m10, m11 = gate[:, 0, 0], gate[:, 0, 1], gate[:, 1, 0], gate[:, 1, 1]
+    else:
+        m00, m01, m10, m11 = gate[0, 0], gate[0, 1], gate[1, 0], gate[1, 1]
+    out = np.empty_like(view)
+    out[:, 0] = m00 * view[:, 0] + m01 * view[:, 1]
+    out[:, 1] = m10 * view[:, 0] + m11 * view[:, 1]
+    return out.reshape(cols.shape)
+
+
+def _reference_adjoint_sweep(config, theta, noises, bras):
+    """Per-sample adjoint sweep: overlaps (batch,), grads (batch, reps, n, 3).
+
+    Walks the circuit backwards one site at a time with separate state and
+    costate arrays and reads each site's block per sample just before
+    undoing its gate, so it relies on neither the stacked buffer nor the
+    per-repetition block invariance.
+    """
+    x = np.atleast_1d(np.asarray(noises, dtype=float))
+    n = config.n_qubits
+    psi = forward_columns(config, theta, x)
+    lam = np.ascontiguousarray(np.asarray(bras, dtype=complex).T)
+    overlaps = np.einsum("db,db->b", lam.conj(), psi)
+
+    train = euler_gate(theta[..., 0], theta[..., 1], theta[..., 2])
+    undo = (train[:, :, None, :, :] @ encoding_gates(x)).conj().swapaxes(-1, -2)
+    half_z = np.array([[-0.5j, 0.0], [0.0, 0.5j]])
+    half_y = np.array([[0.0, -0.5], [0.5, 0.0]])
+    gen_a = train @ half_z @ train.conj().swapaxes(-1, -2)
+    rz_c = euler_gate(theta[..., 2], 0.0, 0.0)
+    gen_b = rz_c @ half_y @ rz_c.conj().swapaxes(-1, -2)
+
+    diag = entangler_diagonal(n)[:, None] if config.use_entangler else None
+    grads = np.empty((x.size, config.reps, n, 3), dtype=complex)
+    for p in reversed(range(config.reps)):
+        if diag is not None:
+            psi = psi * diag
+            lam = lam * diag
+        for q in reversed(range(n)):
+            shape = (2 ** (n - 1 - q), 2, 2**q, -1)
+            blocks = np.einsum("hilb,hjlb->ijb", lam.reshape(shape).conj(), psi.reshape(shape))
+            grads[:, p, q, 0] = np.einsum("ij,ijb->b", gen_a[p, q], blocks)
+            grads[:, p, q, 1] = np.einsum("ij,ijb->b", gen_b[p, q], blocks)
+            grads[:, p, q, 2] = np.einsum("ij,ijb->b", half_z, blocks)
+            psi = _reference_apply_gate_columns(psi, undo[p, q], q, n)
+            lam = _reference_apply_gate_columns(lam, undo[p, q], q, n)
+    return overlaps, grads
+
+
+def random_gates(rng, count):
+    gates = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    return gates[0] if count == 1 else gates
+
+
+class TestGateKernel:
+    @pytest.mark.parametrize("per_column", [True, False])
+    def test_matches_dense_kron_on_every_qubit(self, per_column):
+        n, batch = 4, 5
+        rng = np.random.default_rng(60 + per_column)
+        for qubit in range(n):
+            cols = rng.normal(size=(2**n, batch)) + 1j * rng.normal(size=(2**n, batch))
+            gate = random_gates(rng, batch if per_column else 1)
+            if per_column:
+                want = np.stack(
+                    [dense_1q_operator(gate[b], qubit, n) @ cols[:, b] for b in range(batch)],
+                    axis=1,
+                )
+            else:
+                want = dense_1q_operator(gate, qubit, n) @ cols
+            out = apply_gate_columns(cols, gate, qubit, n, np.empty(cols.size, dtype=complex))
+            assert out is cols
+            np.testing.assert_allclose(cols, want, atol=1e-13)
+
+    def test_stacked_buffer_equals_separate_calls(self):
+        n, batch = 3, 4
+        rng = np.random.default_rng(62)
+        pair = rng.normal(size=(2, 2**n, batch)) + 1j * rng.normal(size=(2, 2**n, batch))
+        gate = random_gates(rng, batch)
+        scratch = np.empty(pair.size, dtype=complex)
+        for qubit in range(n):
+            want = [_reference_apply_gate_columns(pair[k], gate, qubit, n) for k in range(2)]
+            apply_gate_columns(pair, gate, qubit, n, scratch)
+            np.testing.assert_array_equal(pair, np.stack(want))
+
+    def test_rejects_non_contiguous_columns(self):
+        cols = np.ones((4, 6), dtype=complex)[:, ::2]
+        with pytest.raises(ValueError):
+            apply_gate_columns(cols, np.eye(2, dtype=complex), 0, 2, np.empty(12, dtype=complex))
+
+
+class TestBatchSummedSweep:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_matches_per_sample_reference(self, n, reps, batch):
+        config = GeneratorConfig(n_qubits=n, reps=reps)
+        rng = np.random.default_rng(1000 * n + 10 * reps + batch)
+        theta = random_theta(config, rng)
+        noises = rng.uniform(-0.4, 0.4, batch)
+        bras = np.stack([random_target(rng, n) for _ in range(batch)])
+        want_ov, want_grads = _reference_adjoint_sweep(config, theta, noises, bras)
+        states = forward_states(config, theta, noises)
+        for final_states in (None, states):
+            ov, grad = adjoint_sweep(config, theta, noises, bras, final_states=final_states)
+            assert grad.shape == config.theta_shape
+            np.testing.assert_allclose(ov, want_ov, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grad, want_grads.sum(axis=0), rtol=0, atol=1e-12)
+
+    def test_inputs_unmodified(self):
+        config = GeneratorConfig(n_qubits=3, reps=2)
+        rng = np.random.default_rng(63)
+        theta = random_theta(config, rng)
+        noises = rng.uniform(-0.4, 0.4, 4)
+        states = forward_states(config, theta, noises)
+        bras = np.stack([random_target(rng, 3) for _ in range(4)])
+        states_before, bras_before = states.copy(), bras.copy()
+        adjoint_sweep(config, theta, noises, bras, final_states=states)
+        np.testing.assert_array_equal(states, states_before)
+        np.testing.assert_array_equal(bras, bras_before)
+
+
+class TestMemoryGuard:
+    """Buffers beyond the machine's memory are refused before allocation."""
+
+    def setup_method(self):
+        self.config = GeneratorConfig(n_qubits=3, reps=1)
+        self.theta = np.zeros(self.config.theta_shape)
+        self.noises = np.zeros(5)
+        self.unit = 2**3 * 5 * 16          # bytes of one (2**n, batch) complex array
+
+    def test_forward_refused(self, monkeypatch):
+        monkeypatch.setattr(generator, "machine_memory_bytes", lambda: 2 * self.unit - 1)
+        with pytest.raises(MemoryError, match=f"{2 * self.unit} bytes.*{2 * self.unit - 1} bytes"):
+            forward_columns(self.config, self.theta, self.noises)
+
+    def test_sweep_refused_after_forward_fits(self, monkeypatch):
+        monkeypatch.setattr(generator, "machine_memory_bytes", lambda: 3 * self.unit)
+        forward_columns(self.config, self.theta, self.noises)
+        bras = np.zeros((5, 8), dtype=complex)
+        with pytest.raises(MemoryError, match=f"{4 * self.unit} bytes.*{3 * self.unit} bytes"):
+            adjoint_sweep(self.config, self.theta, self.noises, bras)
+
+    def test_unknown_memory_does_not_refuse(self, monkeypatch):
+        monkeypatch.setattr(generator, "machine_memory_bytes", lambda: None)
+        forward_columns(self.config, self.theta, self.noises)
+
+    def test_largest_circuit_estimate_exceeds_a_small_machine(self, monkeypatch):
+        # 20 qubits, batch 100: the sweep's buffers are 4 * 2**20 * 100 * 16 B
+        # = 6.7 GB, refused on a 4 GB machine without allocating anything
+        monkeypatch.setattr(generator, "machine_memory_bytes", lambda: 4 * 2**30)
+        config = GeneratorConfig(n_qubits=20, reps=1)
+        states = np.broadcast_to(np.zeros(1, dtype=complex), (100, 2**20))
+        with pytest.raises(MemoryError, match="6710886400 bytes"):
+            adjoint_sweep(config, np.zeros(config.theta_shape), np.zeros(100), states, final_states=states)
+
+    def test_machine_memory_is_positive(self):
+        total = generator.machine_memory_bytes()
+        assert total is None or total > 0
 
 
 class TestOverlapGradient:
