@@ -424,11 +424,10 @@ def cmd_gradcheck(tolerance: float | None, flip_sign: bool) -> int:
 
     def ensemble_reg_loss(th):
         from .generator import forward_states
-        from .transport import regularized_value, sinkhorn, uniform_marginals
+        from .transport import cost_matrix, regularized_value, sinkhorn, uniform_marginals
 
         loss, grad = ensemble_loss_gradient(config, th, noises, targets, sconf)
-        states = forward_states(config, th, noises)
-        cost = np.clip(1.0 - np.abs(states @ targets.conj().T), 0.0, 1.0)
+        cost = cost_matrix(forward_states(config, th, noises), targets)
         plan = sinkhorn(cost, *uniform_marginals(4, 4), sconf)
         return regularized_value(cost, plan, sconf.epsilon), grad
 

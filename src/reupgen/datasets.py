@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .generator import GeneratorConfig
+from .statevec import MAX_QUBITS
 
 if TYPE_CHECKING:
     # scipy.sparse is imported inside the TFIM helpers, which are its only
@@ -243,15 +244,20 @@ def load_ensemble(path) -> np.ndarray:
         states = payload["states"]
     except (KeyError, TypeError) as err:
         raise ValueError(f"parse error in {path}: missing field {err}") from err
+    # the header and the row lengths are checked before the (count, 2**n)
+    # buffer is allocated, so its size is bounded by the file's
+    if not (1 <= n <= MAX_QUBITS):
+        raise ValueError(f"parse error in {path}: n_qubits {n} outside [1, {MAX_QUBITS}]")
     if len(states) != count:
         raise ValueError(f"parse error in {path}: header count {count} != {len(states)} states")
     dim = 2**n
-    out = np.empty((count, dim), dtype=complex)
     for i, row in enumerate(states):
         if len(row) != dim:
             raise ValueError(
                 f"parse error in {path}: state {i} has {len(row)} amplitudes, expected {dim}"
             )
+    out = np.empty((count, dim), dtype=complex)
+    for i, row in enumerate(states):
         arr = np.asarray(row, dtype=float)
         if arr.shape != (dim, 2):
             raise ValueError(f"parse error in {path}: state {i} entries are not [re, im] pairs")
@@ -282,15 +288,18 @@ def load_theta(path) -> tuple[np.ndarray, GeneratorConfig]:
         except json.JSONDecodeError as err:
             raise ValueError(f"parse error in {path}: {err}") from err
     try:
-        config = GeneratorConfig(
-            n_qubits=int(payload["n_qubits"]),
-            reps=int(payload["reps"]),
-            entangler=payload.get("entangler", "cz_chain"),
-            use_entangler=bool(payload.get("use_entangler", True)),
-        )
+        config = GeneratorConfig(n_qubits=int(payload["n_qubits"]), reps=int(payload["reps"]))
         theta = np.asarray(payload["angles"], dtype=float)
     except (KeyError, TypeError) as err:
         raise ValueError(f"parse error in {path}: {err}") from err
+    # the entangler keys are written for readers of the file; they follow
+    # from the shape and must agree with it
+    for key in ("entangler", "use_entangler"):
+        if key in payload and payload[key] != getattr(config, key):
+            raise ValueError(
+                f"parse error in {path}: {key} {payload[key]!r} != "
+                f"{getattr(config, key)!r} for {config.n_qubits} qubits"
+            )
     if theta.shape != config.theta_shape:
         raise ValueError(
             f"parse error in {path}: angle block {theta.shape} != header shape {config.theta_shape}"

@@ -12,33 +12,36 @@ Trainable angles form a real array of shape (reps, n_qubits, 3).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .statevec import MAX_QUBITS, entangler_diagonal, euler_gate
+from .statevec import MAX_QUBITS, apply_gate_columns, entangler_diagonal, euler_gate
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Circuit shape: qubit count, repetition count, entangler layout."""
+    """Circuit shape: qubit and repetition counts; the entangler follows from them."""
 
     n_qubits: int
     reps: int
-    entangler: str = "cz_chain"
-    use_entangler: bool = field(default=True)
 
     def __post_init__(self):
         if not (1 <= self.n_qubits <= MAX_QUBITS):
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if self.entangler != "cz_chain":
-            raise ValueError(f"unknown entangler topology {self.entangler!r}")
-        if self.n_qubits == 1:
-            # single-qubit circuits have no entangler
-            object.__setattr__(self, "use_entangler", False)
+
+    @property
+    def entangler(self) -> str:
+        # the only topology: a CZ chain on neighbouring qubits
+        return "cz_chain"
+
+    @property
+    def use_entangler(self) -> bool:
+        # single-qubit circuits have no entangler
+        return self.n_qubits > 1
 
     @property
     def theta_shape(self) -> tuple[int, int, int]:
@@ -101,42 +104,6 @@ def require_memory(nbytes: int, what: str) -> None:
             f"{what} needs {nbytes} bytes of buffers, more than the "
             f"{available} bytes of memory of this machine"
         )
-
-
-def apply_gate_columns(
-    cols: np.ndarray, gate: np.ndarray, qubit: int, n: int, scratch: np.ndarray
-) -> np.ndarray:
-    """Apply a 2x2 gate on ``qubit``, in place, to states stored as columns.
-
-    ``cols`` is a C-contiguous complex array of shape (..., 2**n, batch):
-    one state per column, so the batch axis is the fast axis and every
-    slice below stays contiguous regardless of the qubit index.  Leading
-    axes stack state arrays that take the same gates (the adjoint sweep
-    keeps its state and costate in one (2, 2**n, batch) buffer).
-    ``gate`` is (2, 2) or (batch, 2, 2).  ``scratch`` is a 1-D complex
-    buffer of at least ``cols.size`` elements that callers allocate once
-    per pass.  Returns ``cols``.
-    """
-    if not cols.flags.c_contiguous:
-        raise ValueError("cols must be C-contiguous to be updated in place")
-    view = cols.reshape(-1, 2, 2**qubit, cols.shape[-1])
-    if gate.ndim > 2:
-        # one matrix per state: entries broadcast along the column axis
-        m00, m01, m10, m11 = gate[:, 0, 0], gate[:, 0, 1], gate[:, 1, 0], gate[:, 1, 1]
-    else:
-        m00, m01, m10, m11 = gate[0, 0], gate[0, 1], gate[1, 0], gate[1, 1]
-    v0 = view[:, 0]
-    v1 = view[:, 1]
-    half = cols.size // 2
-    t0 = scratch[:half].reshape(v0.shape)
-    t1 = scratch[half : 2 * half].reshape(v0.shape)
-    np.multiply(m01, v1, out=t0)
-    np.multiply(m10, v0, out=t1)
-    np.multiply(m00, v0, out=v0)
-    v0 += t0
-    np.multiply(m11, v1, out=v1)
-    v1 += t1
-    return cols
 
 
 def forward_columns(config: GeneratorConfig, theta: np.ndarray, noises: np.ndarray) -> np.ndarray:

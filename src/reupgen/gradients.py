@@ -26,7 +26,6 @@ import numpy as np
 from . import transport
 from .generator import (
     GeneratorConfig,
-    apply_gate_columns,
     check_theta,
     encoding_gates,
     forward_columns,
@@ -34,7 +33,9 @@ from .generator import (
     require_memory,
 )
 from .statevec import (
+    apply_gate_columns,
     density_eigenvalues,
+    entanglement_entropies,  # re-exported: callers import it from here too
     entangler_diagonal,
     entropy_from_eigenvalues,
     euler_gate,
@@ -206,11 +207,6 @@ def _entropy_and_costate(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = states.reshape(states.shape[:-1] + (2, 2))
     costate = (m @ amat.conj()).reshape(states.shape)
     return entropy, costate
-
-
-def entanglement_entropies(states: np.ndarray) -> np.ndarray:
-    """Entanglement entropy of qubit 0 for a batch of 2-qubit states."""
-    return entropy_from_eigenvalues(density_eigenvalues(reduced_density_qubit0(states)))
 
 
 def entropy_loss_gradient(

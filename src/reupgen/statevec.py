@@ -3,18 +3,19 @@
 States are plain numpy arrays of 2**n complex amplitudes.  Index
 convention, fixed repo-wide: qubit 0 is the least significant bit of the
 amplitude index, so amplitude ``k`` belongs to the basis state whose bit
-``q`` is ``(k >> q) & 1``.  All kernel functions accept an optional batch:
-a state of shape ``(..., 2**n)`` is a stack of states sharing ``n``, and
-gate matrices may carry matching leading dimensions (one 2x2 matrix per
-batch element) or none (one matrix broadcast over the batch).
+``q`` is ``(k >> q) & 1``.  At the API a state of shape ``(..., 2**n)`` is
+a stack of states sharing ``n``; ensembles (ordered finite sets of pure
+states) are 2-D arrays of shape ``(count, 2**n)``, one state per row.
 
-Ensembles (ordered finite sets of pure states) are 2-D arrays of shape
-``(count, 2**n)``, one state per row.
+The one gate kernel, ``apply_gate_columns``, lives here: rows at the
+API, columns inside the kernel.  It works in place on states stored as
+columns, ``(..., 2**n, batch)``, the layout of the forward pass and the
+adjoint sweep; the row functions run it on a copy of their input.  This
+module also owns the one SWAP-test sampler and the entropy helpers.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -48,44 +49,73 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def _apply_1q_kernel(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 2x2 matrix on ``qubit`` without validation (hot path).
+def apply_gate_columns(
+    cols: np.ndarray, gate: np.ndarray, qubit: int, n: int, scratch: np.ndarray
+) -> np.ndarray:
+    """Apply a 2x2 gate on ``qubit``, in place, to states stored as columns.
 
-    ``state``: shape (..., 2**n); ``matrix``: shape (2, 2) or lead + (2, 2)
-    with ``lead`` broadcastable against the state's leading dims.
+    ``cols`` is a C-contiguous complex array of shape (..., 2**n, batch):
+    one state per column, so the batch axis is the fast axis and every
+    slice below stays contiguous regardless of the qubit index.  Leading
+    axes stack state arrays that take the same gates (the adjoint sweep
+    keeps its state and costate in one (2, 2**n, batch) buffer).
+    ``gate`` is (2, 2) or (batch, 2, 2).  ``scratch`` is a 1-D complex
+    buffer of at least ``cols.size`` elements that callers allocate once
+    per pass.  Returns ``cols``.
     """
-    shape = state.shape
-    view = state.reshape(shape[:-1] + (2 ** (n - 1 - qubit), 2, 2**qubit))
-    # matrix entries broadcast over the (high-bits, low-bits) axes
-    m = np.asarray(matrix)
-    m00 = m[..., 0, 0, None, None] if m.ndim > 2 else m[0, 0]
-    m01 = m[..., 0, 1, None, None] if m.ndim > 2 else m[0, 1]
-    m10 = m[..., 1, 0, None, None] if m.ndim > 2 else m[1, 0]
-    m11 = m[..., 1, 1, None, None] if m.ndim > 2 else m[1, 1]
-    v0 = view[..., 0, :]
-    v1 = view[..., 1, :]
-    out = np.empty_like(view, dtype=np.result_type(state, m))
-    out[..., 0, :] = m00 * v0 + m01 * v1
-    out[..., 1, :] = m10 * v0 + m11 * v1
-    return out.reshape(shape)
+    if not cols.flags.c_contiguous:
+        raise ValueError("cols must be C-contiguous to be updated in place")
+    view = cols.reshape(-1, 2, 2**qubit, cols.shape[-1])
+    if gate.ndim > 2:
+        # one matrix per state: entries broadcast along the column axis
+        m00, m01, m10, m11 = gate[:, 0, 0], gate[:, 0, 1], gate[:, 1, 0], gate[:, 1, 1]
+    else:
+        m00, m01, m10, m11 = gate[0, 0], gate[0, 1], gate[1, 0], gate[1, 1]
+    v0 = view[:, 0]
+    v1 = view[:, 1]
+    half = cols.size // 2
+    t0 = scratch[:half].reshape(v0.shape)
+    t1 = scratch[half : 2 * half].reshape(v0.shape)
+    np.multiply(m01, v1, out=t0)
+    np.multiply(m10, v0, out=t1)
+    np.multiply(m00, v0, out=v0)
+    v0 += t0
+    np.multiply(m11, v1, out=v1)
+    v1 += t1
+    return cols
+
+
+def _apply_gates_to_rows(state: np.ndarray, gates) -> np.ndarray:
+    """New array: ``state`` (..., 2**n) after each (qubit, 2x2 matrix) in turn.
+
+    The copy is explicit: a view of the caller's array as (..., 2**n, 1)
+    columns is already contiguous, so the in-place kernel would otherwise
+    overwrite the input.
+    """
+    out = np.array(state, dtype=complex)
+    n = n_qubits_of(out)
+    cols = out[..., None]
+    scratch = np.empty(out.size, dtype=complex)
+    for qubit, matrix in gates:
+        apply_gate_columns(cols, matrix, qubit, n, scratch)
+    return out
 
 
 def apply_single_qubit(state: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
     """Apply a single-qubit unitary on ``qubit``; returns a new state.
 
-    The matrix must be unitary within 1e-8.
+    The matrix must be a (2, 2) unitary within 1e-8.
     """
     state = np.asarray(state, dtype=complex)
     n = n_qubits_of(state)
     if not (0 <= qubit < n):
         raise IndexError(f"qubit {qubit} out of range for {n} qubits")
     m = np.asarray(matrix, dtype=complex)
-    if m.shape[-2:] != (2, 2):
+    if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    dev = m @ np.conj(np.swapaxes(m, -1, -2)) - np.eye(2)
-    if np.max(np.abs(dev)) > 1e-8:
+    if np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-8:
         raise ValueError("matrix is not unitary within 1e-8")
-    return _apply_1q_kernel(state, m, qubit, n)
+    return _apply_gates_to_rows(state, [(qubit, m)])
 
 
 def euler_gate(phi1, phi2, phi3) -> np.ndarray:
@@ -165,19 +195,25 @@ def overlap_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return rows.conj() @ cols.T
 
 
-def swap_test_estimate(
-    a: np.ndarray, b: np.ndarray, shots: int, rng: np.random.Generator
-) -> float:
-    """Shot-sampled SWAP-test estimate of |<a|b>|.
+def swap_test_absolute(absolute, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Shot-sampled SWAP-test estimates of overlap magnitudes |<a|b>|.
 
-    The ancilla reads 0 with probability (1 + |<a|b>|^2) / 2; we draw
-    ``shots`` Bernoulli outcomes and invert that relation, clamping at 0.
+    For each exact magnitude the ancilla reads 0 with probability
+    (1 + |<a|b>|^2) / 2; we draw ``shots`` Bernoulli outcomes (one binomial
+    draw per entry, in C order) and invert that relation, clamping at 0.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p0 = (1.0 + abs(overlap(a, b)) ** 2) / 2.0
-    p0_hat = rng.binomial(shots, min(p0, 1.0)) / shots
-    return math.sqrt(max(0.0, 2.0 * p0_hat - 1.0))
+    p0 = (1.0 + np.asarray(absolute) ** 2) / 2.0
+    p0_hat = rng.binomial(shots, np.minimum(p0, 1.0)) / shots
+    return np.sqrt(np.maximum(0.0, 2.0 * p0_hat - 1.0))
+
+
+def swap_test_estimate(
+    a: np.ndarray, b: np.ndarray, shots: int, rng: np.random.Generator
+) -> float:
+    """Shot-sampled SWAP-test estimate of |<a|b>| for two single states."""
+    return float(swap_test_absolute(abs(overlap(a, b)), shots, rng))
 
 
 def apply_pauli_string(state: np.ndarray, pauli: str) -> np.ndarray:
@@ -188,11 +224,7 @@ def apply_pauli_string(state: np.ndarray, pauli: str) -> np.ndarray:
         raise ValueError(
             f"Pauli string must have length {n} with letters from IXYZ, got {pauli!r}"
         )
-    out = state.copy()
-    for q, ch in enumerate(pauli):
-        if ch != "I":
-            out = _apply_1q_kernel(out, PAULI[ch], q, n)
-    return out
+    return _apply_gates_to_rows(state, [(q, PAULI[ch]) for q, ch in enumerate(pauli) if ch != "I"])
 
 
 def pauli_expectation(state: np.ndarray, pauli: str):
@@ -256,3 +288,8 @@ def entropy_from_eigenvalues(lams: np.ndarray) -> np.ndarray:
     lams = np.clip(np.asarray(lams, dtype=float), 0.0, 1.0)
     terms = np.where(lams > 0.0, -lams * np.log2(np.maximum(lams, 1e-300)), 0.0)
     return terms.sum(axis=-1)
+
+
+def entanglement_entropies(states: np.ndarray) -> np.ndarray:
+    """Entanglement entropy of qubit 0 for a batch of 2-qubit states."""
+    return entropy_from_eigenvalues(density_eigenvalues(reduced_density_qubit0(states)))

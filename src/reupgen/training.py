@@ -1,9 +1,17 @@
-"""Optimization loops: Adam plus the three task trainers.
+"""Optimization: Adam, one training loop, and the three task trainers.
+
+The trainers (ensemble matching, conditional two-interval, entropy series)
+share one loop, ``_fit``: Adam on the gradient that the trainer's ``step``
+closure returns, the divergence guard, and one ``EpochRecord`` per epoch.
+A trainer only validates its inputs, spawns its streams and supplies
+``step`` and its task metric.
 
 Reproducibility contract: every trainer derives all of its randomness from
 ``TrainConfig.seed`` through fixed SeedSequence spawns, in this order:
-angle initialization, per-epoch noise stream, evaluation stream.  Re-running
-with the same config gives a bitwise-identical angle trajectory and log.
+angle initialization, per-epoch noise stream, evaluation stream (the
+entropy series first spawns one child sequence per target and then these
+three from each).  Re-running with the same config gives a
+bitwise-identical angle trajectory and log.
 
 Generation never post-selects: each epoch consumes exactly the requested
 number of circuit evaluations and every one of them enters the loss, so
@@ -20,6 +28,7 @@ import numpy as np
 from . import gradients, transport
 from .datasets import NoiseSpec, draw_noise
 from .generator import GeneratorConfig, forward_states, random_theta
+from .statevec import entanglement_entropies
 
 
 class TrainingDiverged(RuntimeError):
@@ -115,6 +124,28 @@ def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
+def _fit(theta: np.ndarray, train_config: TrainConfig, step, aux):
+    """The one training loop: Adam on the angles, guarded and logged per epoch.
+
+    ``step(theta) -> (loss, grad, extra)`` draws the epoch's noise and
+    returns the loss and its gradient at the current angles; the divergence
+    guard checks the loss before ``aux(extra)`` (0.0 when ``aux`` is None)
+    gives the epoch's task metric.  Returns the final angles and the records.
+    """
+    adam = init_adam(theta, train_config.lr)
+    guard = _DivergenceGuard()
+    records: list[EpochRecord] = []
+    for epoch in range(train_config.epochs):
+        tic = time.perf_counter()
+        loss, grad, extra = step(theta)
+        guard.check(epoch, loss)
+        aux_metric = float(aux(extra)) if aux is not None else 0.0
+        adam, theta = adam_step(adam, theta, grad)
+        wall_ms = int(round((time.perf_counter() - tic) * 1000))
+        records.append(EpochRecord(epoch, loss, aux_metric, wall_ms))
+    return theta, records
+
+
 def train_ensemble(
     config: GeneratorConfig,
     train_set: np.ndarray,
@@ -132,31 +163,17 @@ def train_ensemble(
     if train_set.ndim != 2 or train_set.shape[0] == 0:
         raise ValueError("train_set must be a nonempty 2-D ensemble")
     init_rng, noise_rng, _ = _spawn_rngs(train_config.seed, 3)
-    theta = random_theta(config, init_rng)
     batch = train_config.batch_generated or train_set.shape[0]
 
-    adam = init_adam(theta, train_config.lr)
-    guard = _DivergenceGuard()
-    records: list[EpochRecord] = []
-    for epoch in range(train_config.epochs):
-        tic = time.perf_counter()
+    def step(theta):
         xs = draw_noise(train_config.noise, batch, noise_rng)
         loss, grad, states = gradients.ensemble_loss_gradient(
             config, theta, xs, train_set, train_config.sinkhorn, return_states=True
         )
         assert states.shape[0] == batch  # success probability is 1, no rejection
-        guard.check(epoch, loss)
-        aux = float(aux_fn(states)) if aux_fn is not None else 0.0
-        adam, theta = adam_step(adam, theta, grad)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                loss=loss,
-                aux_metric=aux,
-                wall_ms=int(round((time.perf_counter() - tic) * 1000)),
-            )
-        )
-    return theta, records
+        return loss, grad, states
+
+    return _fit(random_theta(config, init_rng), train_config, step, aux_fn)
 
 
 def train_conditional(
@@ -170,38 +187,28 @@ def train_conditional(
 
     Category k draws its noise uniformly from ``intervals[k]`` and is
     matched against ``train_sets[k]``; the epoch loss is the sum of the two
-    transport losses.  After training, sampling noise from either interval
-    selects the corresponding category with the same frozen angles.
+    transport losses, and ``aux_fn`` sees the list of both generated
+    batches.  After training, sampling noise from either interval selects
+    the corresponding category with the same frozen angles.
     """
     if len(train_sets) != 2 or len(intervals) != 2:
         raise ValueError("train_conditional expects two train sets and two intervals")
     (lo1, hi1), (lo2, hi2) = intervals
-    if not (lo1 < hi1 and lo2 < hi2):
-        raise ValueError("intervals need lo < hi")
-    if not (hi1 <= lo2 or hi2 <= lo1):
-        raise ValueError("intervals must be disjoint")
+    # the spec checks lo < hi for both intervals and that they are disjoint
+    spec = NoiseSpec("two_interval", lo=lo1, hi=hi1, lo2=lo2, hi2=hi2)
     sets = [np.asarray(s, dtype=complex) for s in train_sets]
     if any(s.ndim != 2 or s.shape[0] == 0 for s in sets):
         raise ValueError("both train sets must be nonempty ensembles")
 
     init_rng, noise_rng, _ = _spawn_rngs(train_config.seed, 3)
-    theta = random_theta(config, init_rng)
     batches = [train_config.batch_generated or s.shape[0] for s in sets]
-    specs = [
-        NoiseSpec("uniform", lo=lo1, hi=hi1),
-        NoiseSpec("uniform", lo=lo2, hi=hi2),
-    ]
 
-    adam = init_adam(theta, train_config.lr)
-    guard = _DivergenceGuard()
-    records: list[EpochRecord] = []
-    for epoch in range(train_config.epochs):
-        tic = time.perf_counter()
+    def step(theta):
         loss = 0.0
         grad = np.zeros_like(theta)
         generated = []
-        for spec, batch, targets in zip(specs, batches, sets):
-            xs = draw_noise(spec, batch, noise_rng)
+        for category, batch, targets in zip((1, 2), batches, sets):
+            xs = draw_noise(spec, batch, noise_rng, category=category)
             part_loss, part_grad, states = gradients.ensemble_loss_gradient(
                 config, theta, xs, targets, train_config.sinkhorn, return_states=True
             )
@@ -209,18 +216,9 @@ def train_conditional(
             loss += part_loss
             grad += part_grad
             generated.append(states)
-        guard.check(epoch, loss)
-        aux = float(aux_fn(generated)) if aux_fn is not None else 0.0
-        adam, theta = adam_step(adam, theta, grad)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                loss=loss,
-                aux_metric=aux,
-                wall_ms=int(round((time.perf_counter() - tic) * 1000)),
-            )
-        )
-    return theta, records
+        return loss, grad, generated
+
+    return _fit(random_theta(config, init_rng), train_config, step, aux_fn)
 
 
 @dataclass(frozen=True)
@@ -261,28 +259,19 @@ def train_entropy_series(
     run_seeds = np.random.SeedSequence(train_config.seed).spawn(len(targets))
     for s_target, run_seed in zip(targets, run_seeds):
         init_rng, noise_rng, eval_rng = [np.random.default_rng(s) for s in run_seed.spawn(3)]
-        theta = random_theta(config, init_rng)
-        adam = init_adam(theta, train_config.lr)
-        guard = _DivergenceGuard()
-        records: list[EpochRecord] = []
-        for epoch in range(train_config.epochs):
-            tic = time.perf_counter()
+
+        def step(theta):
             xs = draw_noise(train_config.noise, batch, noise_rng)
-            loss, grad, entropies = gradients.entropy_loss_gradient(
+            return gradients.entropy_loss_gradient(
                 config, theta, xs, s_target, return_entropies=True
             )
-            guard.check(epoch, loss)
-            adam, theta = adam_step(adam, theta, grad)
-            records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    loss=loss,
-                    aux_metric=float(np.mean(np.abs(entropies - s_target))),
-                    wall_ms=int(round((time.perf_counter() - tic) * 1000)),
-                )
-            )
+
+        theta, records = _fit(
+            random_theta(config, init_rng), train_config, step,
+            lambda entropies: np.mean(np.abs(entropies - s_target)),
+        )
         eval_xs = draw_noise(train_config.noise, eval_batch, eval_rng)
-        achieved = gradients.entanglement_entropies(forward_states(config, theta, eval_xs))
+        achieved = entanglement_entropies(forward_states(config, theta, eval_xs))
         results.append(
             EntropyRunResult(
                 s_target=s_target,

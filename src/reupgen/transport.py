@@ -55,17 +55,14 @@ def cost_matrix(
     """Pairwise infidelities 1 - |<set1_i|set2_j>|, clamped to [0, 1].
 
     With ``shots`` given, every |overlap| is replaced by a SWAP-test
-    estimate from that many Bernoulli samples (row-major draw order).
+    estimate from that many Bernoulli samples
+    (``statevec.swap_test_absolute``, row-major draw order).
     """
     absolute = np.abs(statevec.overlap_matrix(set1, set2))
     if shots is not None:
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
         if rng is None:
             raise ValueError("shot-sampled overlaps need an rng")
-        p0 = (1.0 + absolute**2) / 2.0
-        p0_hat = rng.binomial(shots, np.minimum(p0, 1.0)) / shots
-        absolute = np.sqrt(np.maximum(0.0, 2.0 * p0_hat - 1.0))
+        absolute = statevec.swap_test_absolute(absolute, shots, rng)
     return np.clip(1.0 - absolute, 0.0, 1.0)
 
 

@@ -214,6 +214,17 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("n_qubits", [-1, 40])
+    def test_malformed_header_exit_2(self, ring_setup, tmp_path, capsys, n_qubits):
+        config, out = ring_setup
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n_qubits": n_qubits, "count": 1, "states": [[[1.0, 0.0]]]}))
+        code = main(
+            ["eval", "--config", str(config), "--generated", str(bad), "--test", str(out / "test.json")]
+        )
+        assert code == 2
+        assert "parse error" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_single_p_single_row(self, ring_setup):

@@ -218,6 +218,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="parse error"):
             load_ensemble(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            '"n_qubits": -1, "count": 1',
+            '"n_qubits": 0, "count": 1',
+            '"n_qubits": 40, "count": 1',
+            '"n_qubits": 1, "count": -1',
+        ],
+    )
+    def test_malformed_header_rejected_before_allocating(self, tmp_path, header):
+        path = tmp_path / "bad.json"
+        path.write_text("{" + header + ', "states": [[[1.0, 0.0], [0.0, 0.0]]]}')
+        with pytest.raises(ValueError, match="parse error"):
+            load_ensemble(path)
+
+    def test_short_rows_rejected_before_allocating(self, tmp_path):
+        # 1000 states of 2**20 amplitudes would need 16 GiB; the file holds none
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_qubits": 20, "count": 1000, "states": [[]] * 1000}))
+        with pytest.raises(ValueError, match="parse error"):
+            load_ensemble(path)
+
     def test_large_single_qubit_file(self, tmp_path):
         path = tmp_path / "big.json"
         save_ensemble(path, ring_y_ensemble(1000, seed=22))
@@ -235,6 +257,22 @@ class TestSerialization:
     def test_theta_header_mismatch(self, tmp_path):
         path = tmp_path / "theta.json"
         path.write_text('{"n_qubits": 1, "reps": 2, "angles": [[[0, 0, 0]]]}')
+        with pytest.raises(ValueError, match="parse error"):
+            load_theta(path)
+
+    @pytest.mark.parametrize(
+        "n_qubits, key, value",
+        [(1, "use_entangler", True), (2, "use_entangler", False), (2, "entangler", "ring")],
+    )
+    def test_theta_entangler_keys_follow_the_shape(self, tmp_path, n_qubits, key, value):
+        config = GeneratorConfig(n_qubits=n_qubits, reps=1)
+        path = tmp_path / "theta.json"
+        save_theta(path, np.zeros(config.theta_shape), config)
+        payload = json.loads(path.read_text())
+        assert payload["entangler"] == "cz_chain"
+        assert payload["use_entangler"] is (n_qubits > 1)
+        payload[key] = value
+        path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="parse error"):
             load_theta(path)
 

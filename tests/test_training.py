@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from reupgen.datasets import NoiseSpec, ring_y_ensemble, ring_z_ensemble
-from reupgen.generator import GeneratorConfig
+from reupgen.datasets import NoiseSpec, draw_noise, ring_y_ensemble, ring_z_ensemble
+from reupgen.generator import GeneratorConfig, forward_states, random_theta
+from reupgen.gradients import ensemble_loss_gradient, entropy_loss_gradient
 from reupgen.metrics import mean_squared_pauli
+from reupgen.statevec import entanglement_entropies
 from reupgen.training import (
     TrainConfig,
     TrainingDiverged,
@@ -236,3 +238,101 @@ class TestTrainEntropySeries:
             assert r.entropies.shape == (10,)
             assert np.all((r.entropies >= 0.0) & (r.entropies <= 1.0))
             assert r.max_abs_dev >= r.mean_abs_dev
+
+
+class TestReproducibilityContract:
+    """Each trainer equals a plain loop on the documented SeedSequence spawns.
+
+    The spawn order is angle initialization, per-epoch noise stream,
+    evaluation stream; the entropy series first spawns one child sequence
+    per target.  The loops below use only the public building blocks, so
+    any change to the order, the streams or the update shows up here.
+    """
+
+    noise = NoiseSpec("uniform", lo=-0.1, hi=0.1)
+
+    @staticmethod
+    def _streams(seed_seq):
+        return [np.random.default_rng(s) for s in seed_seq.spawn(3)]
+
+    @staticmethod
+    def _assert_same(theta, records, want_theta, want_losses, want_aux):
+        np.testing.assert_array_equal(theta, want_theta)
+        assert [r.epoch for r in records] == list(range(len(want_losses)))
+        assert [r.loss for r in records] == want_losses
+        assert [r.aux_metric for r in records] == want_aux
+
+    def test_train_ensemble(self):
+        config = GeneratorConfig(n_qubits=1, reps=3)
+        data = ring_y_ensemble(9, seed=30)
+        tconf = TrainConfig(epochs=6, lr=0.05, seed=31, sinkhorn=small_sinkhorn(), noise=self.noise)
+        aux_fn = lambda s: mean_squared_pauli(s, "Y").value
+
+        init_rng, noise_rng, _ = self._streams(np.random.SeedSequence(tconf.seed))
+        theta = random_theta(config, init_rng)
+        adam = init_adam(theta, tconf.lr)
+        losses, aux = [], []
+        for _ in range(tconf.epochs):
+            xs = draw_noise(tconf.noise, data.shape[0], noise_rng)
+            loss, grad, states = ensemble_loss_gradient(
+                config, theta, xs, data, tconf.sinkhorn, return_states=True
+            )
+            losses.append(loss)
+            aux.append(aux_fn(states))
+            adam, theta = adam_step(adam, theta, grad)
+
+        self._assert_same(*train_ensemble(config, data, tconf, aux_fn=aux_fn), theta, losses, aux)
+
+    def test_train_conditional(self):
+        config = GeneratorConfig(n_qubits=1, reps=2)
+        sets = [ring_y_ensemble(6, seed=32), ring_z_ensemble(7, seed=33)]
+        intervals = [(-0.1, -0.05), (0.05, 0.1)]
+        tconf = TrainConfig(epochs=5, lr=0.05, seed=34, batch_generated=5,
+                            sinkhorn=small_sinkhorn(), noise=self.noise)
+        aux_fn = lambda parts: (
+            mean_squared_pauli(parts[0], "Y").value + mean_squared_pauli(parts[1], "Z").value
+        )
+
+        init_rng, noise_rng, _ = self._streams(np.random.SeedSequence(tconf.seed))
+        theta = random_theta(config, init_rng)
+        adam = init_adam(theta, tconf.lr)
+        losses, aux = [], []
+        for _ in range(tconf.epochs):
+            parts = []
+            for (lo, hi), targets in zip(intervals, sets):
+                xs = draw_noise(NoiseSpec("uniform", lo=lo, hi=hi), 5, noise_rng)
+                parts.append(ensemble_loss_gradient(
+                    config, theta, xs, targets, tconf.sinkhorn, return_states=True
+                ))
+            losses.append(parts[0][0] + parts[1][0])
+            aux.append(aux_fn([parts[0][2], parts[1][2]]))
+            adam, theta = adam_step(adam, theta, parts[0][1] + parts[1][1])
+
+        got = train_conditional(config, sets, intervals, tconf, aux_fn=aux_fn)
+        self._assert_same(*got, theta, losses, aux)
+
+    def test_train_entropy_series(self):
+        config = GeneratorConfig(n_qubits=2, reps=2)
+        targets = [0.2, 0.9]
+        tconf = TrainConfig(epochs=4, lr=0.05, seed=35, batch_generated=6, noise=self.noise)
+
+        results = train_entropy_series(config, targets, tconf, eval_batch=8)
+        run_seeds = np.random.SeedSequence(tconf.seed).spawn(len(targets))
+        for result, s_target, run_seed in zip(results, targets, run_seeds):
+            init_rng, noise_rng, eval_rng = self._streams(run_seed)
+            theta = random_theta(config, init_rng)
+            adam = init_adam(theta, tconf.lr)
+            losses, aux = [], []
+            for _ in range(tconf.epochs):
+                xs = draw_noise(tconf.noise, 6, noise_rng)
+                loss, grad, entropies = entropy_loss_gradient(
+                    config, theta, xs, s_target, return_entropies=True
+                )
+                losses.append(loss)
+                aux.append(float(np.mean(np.abs(entropies - s_target))))
+                adam, theta = adam_step(adam, theta, grad)
+            self._assert_same(result.theta, result.records, theta, losses, aux)
+            achieved = entanglement_entropies(
+                forward_states(config, theta, draw_noise(tconf.noise, 8, eval_rng))
+            )
+            np.testing.assert_array_equal(result.entropies, achieved)
